@@ -93,7 +93,7 @@ INDEX_SCHEMA = "repro-cache-index/1"
 #: governor behaviour fixes, summary fields, ...), which invalidates
 #: every existing cache entry at once.  Structural spec changes are
 #: covered separately by the ``repro-session`` schema rev.
-CODE_REV_SALT = "2026-08-08.3"
+CODE_REV_SALT = "2026-10-18.1"
 
 #: Stat counter names (all plain counters in the metrics registry).
 STAT_NAMES = ("cache.hits", "cache.misses", "cache.stores",

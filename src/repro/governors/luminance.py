@@ -76,12 +76,25 @@ class ContentLuminanceGovernor(GovernorPolicy):
         self._rates: Tuple[float, ...] = tuple(
             sorted(float(r) for r in refresh_rates_hz))
         self._last_luminance = 1.0
+        self._priced_version: Optional[int] = None
+        self._priced_luminance = 1.0
 
     # ------------------------------------------------------------------
     # Luminance probe
     # ------------------------------------------------------------------
     def relative_luminance(self) -> float:
-        """Displayed emission as a fraction of full white, in [0, 1]."""
+        """Displayed emission as a fraction of full white, in [0, 1].
+
+        Re-priced only when the framebuffer's ``content_version`` has
+        moved since the last call.
+        """
+        version = self._framebuffer.content_version
+        if version != self._priced_version:
+            self._priced_luminance = self._price_luminance()
+            self._priced_version = version
+        return self._priced_luminance
+
+    def _price_luminance(self) -> float:
         power = self.model.frame_power_mw(self._framebuffer.pixels)
         span = self.model.full_white_mw - self.model.full_black_mw
         if span <= 0:

@@ -47,6 +47,12 @@ class SurfaceManager:
         self._fast_path = False
         self._coherent = False
         self._pending_dirty = False
+        # Framebuffer generation right after this compositor's last
+        # write.  While the framebuffer still reports it, nothing else
+        # wrote in between, so the framebuffer holds _previous.  A
+        # never-written framebuffer (generation 0) holds the zeros
+        # _previous starts with.
+        self._written_generation = 0
 
     # ------------------------------------------------------------------
     # Surface lifecycle
@@ -141,7 +147,10 @@ class SurfaceManager:
             for surface in self._pending.values():
                 surface.acknowledge_post()
             self._pending.clear()
+            in_sync = self._in_sync()
             self._framebuffer.write_unchanged(time)
+            if in_sync:
+                self._written_generation = self._framebuffer.generation
             self._compositions += 1
             self._redundant_compositions += 1
             for listener in self._listeners:
@@ -158,8 +167,12 @@ class SurfaceManager:
             self._scratch[y0:y1, x0:x1] = surface.pixels
 
         redundant = bool(np.array_equal(self._scratch, self._previous))
+        # A redundant frame is identical to what the framebuffer shows
+        # only if nothing else wrote it since our last write.
+        identical = redundant and self._in_sync()
         np.copyto(self._previous, self._scratch)
-        self._framebuffer.write(self._scratch, time)
+        self._framebuffer.write(self._scratch, time, identical=identical)
+        self._written_generation = self._framebuffer.generation
         self._coherent = True
 
         self._compositions += 1
@@ -168,6 +181,10 @@ class SurfaceManager:
         for listener in self._listeners:
             listener(time, redundant)
         return True
+
+    def _in_sync(self) -> bool:
+        """True while the framebuffer provably holds ``_previous``."""
+        return self._framebuffer.generation == self._written_generation
 
     # ------------------------------------------------------------------
     # Accounting

@@ -54,6 +54,7 @@ class Framebuffer:
             storage[...] = 0
             self._pixels = storage
         self._generation = 0
+        self._content_version = 0
         self._last_update_time = 0.0
         self._last_write_unchanged = False
         self._listeners: List[UpdateListener] = []
@@ -88,6 +89,17 @@ class Framebuffer:
         return self._generation
 
     @property
+    def content_version(self) -> int:
+        """Counter that moves whenever the contents may have changed.
+
+        Every :meth:`write` advances it unless the caller proved the
+        new pixels identical to the current ones; :meth:`write_unchanged`
+        never does.  Observers that derive a value from the pixels
+        (emission pricing) recompute it only when this has moved.
+        """
+        return self._content_version
+
+    @property
     def last_update_time(self) -> float:
         """Timestamp of the most recent write."""
         return self._last_update_time
@@ -95,11 +107,17 @@ class Framebuffer:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def write(self, pixels: np.ndarray, time: float) -> None:
+    def write(self, pixels: np.ndarray, time: float, *,
+              identical: bool = False) -> None:
         """Replace the framebuffer contents (a frame update).
 
         ``pixels`` must match the framebuffer geometry exactly; partial
         updates go through the compositor, not here.
+
+        ``identical=True`` is the caller's proof that ``pixels`` equals
+        the current contents byte for byte; it only keeps
+        :attr:`content_version` where it is.  The copy, the generation
+        bump and listener notification are those of any write.
         """
         if pixels.shape != self._pixels.shape:
             raise GraphicsError(
@@ -110,6 +128,8 @@ class Framebuffer:
                 f"framebuffer expects uint8 pixels, got {pixels.dtype}")
         np.copyto(self._pixels, pixels)
         self._generation += 1
+        if not identical:
+            self._content_version += 1
         self._last_update_time = time
         self._last_write_unchanged = False
         for listener in self._listeners:
@@ -123,8 +143,9 @@ class Framebuffer:
         what the framebuffer already holds: the copy is skipped, but
         the update is otherwise real — generation, timestamp, and
         listener notification behave exactly like :meth:`write` with
-        identical pixels.  Listeners that themselves compare frames can
-        consult :attr:`last_write_unchanged` to skip their comparison.
+        identical pixels, and :attr:`content_version` stays put.
+        Listeners that themselves compare frames can consult
+        :attr:`last_write_unchanged` to skip their comparison.
         """
         self._generation += 1
         self._last_update_time = time

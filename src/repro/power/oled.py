@@ -20,15 +20,26 @@ own efficiency (blue OLED emitters are the least efficient):
 
 Coefficients default to magnitudes consistent with published AMOLED
 measurements for a 4.8-inch 2012-era panel: a full-white screen around
-1 W of emission, full black near zero, with blue costing roughly twice
+1.2 W of emission, full black near zero, with blue costing roughly twice
 red.  As with the rest of the power substrate, absolute numbers are
 calibration; shapes (white >> black, blue-heavy > red-heavy) are exact
 properties of the model.
+
+Pricing
+-------
+A stored value has only 256 possible codes, so each gamma's decode is a
+256-entry table built once with the same float expression a per-pixel
+decode would evaluate; a frame is priced by indexing that table.  The
+tracker and the luminance governor re-price only when the framebuffer's
+:attr:`~repro.graphics.framebuffer.Framebuffer.content_version` has
+moved, because a frame update that provably repeats the displayed image
+cannot change its emission.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -36,6 +47,19 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..sim.tracing import StepSeries
 from ..units import ensure_non_negative, ensure_positive
+
+
+@lru_cache(maxsize=None)
+def _decode_table(gamma: float) -> np.ndarray:
+    """Luminance of each of the 256 stored codes at ``gamma``.
+
+    Each entry is bit-equal to ``(value / 255.0) ** gamma`` evaluated
+    on a float64 frame, so a table lookup prices a frame exactly like
+    the per-pixel decode.  Read-only: the array is shared.
+    """
+    table = (np.arange(256, dtype=np.float64) / 255.0) ** gamma
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -75,11 +99,16 @@ class OledModel:
         ``pixels`` is any ``(h, w, 3)`` uint8 frame; resolution does
         not matter because the model works in mean per-pixel luminance
         (the panel's area is folded into the channel coefficients).
+        Frames of any other dtype are rejected: the decode table covers
+        exactly the 256 uint8 codes.
         """
         if pixels.ndim != 3 or pixels.shape[-1] != 3:
             raise ConfigurationError(
                 f"expected an (h, w, 3) frame, got shape {pixels.shape}")
-        luminance = (pixels.astype(np.float64) / 255.0) ** self.gamma
+        if pixels.dtype != np.uint8:
+            raise ConfigurationError(
+                f"expected a uint8 frame, got dtype {pixels.dtype}")
+        luminance = _decode_table(self.gamma)[pixels]
         channel_mean = luminance.mean(axis=(0, 1))
         coeffs = np.asarray(self.full_channel_mw, dtype=np.float64)
         return float(self.base_mw + (coeffs * channel_mean).sum())
@@ -99,29 +128,37 @@ class OledEmissionTracker:
     """Records a session's emission power as a step series.
 
     Attach to a framebuffer like the content-rate meter: each frame
-    update re-prices the emission, which then holds until the next
+    update records the emission, which then holds until the next
     update (emission depends on what is *displayed*, not on the
     refresh rate — the displayed image persists between updates).
+    An update re-prices the frame only when the framebuffer's
+    ``content_version`` has moved; otherwise the last price is
+    recorded again.
     """
 
     def __init__(self, framebuffer, model: OledModel = None,
                  start_time: float = 0.0) -> None:
         self.model = model or OledModel()
         self._framebuffer = framebuffer
-        initial = self.model.frame_power_mw(framebuffer.pixels)
-        self.history = StepSeries("oled_emission_mw", initial, start_time)
+        self._price_mw = self.model.frame_power_mw(framebuffer.pixels)
+        self._priced_version = framebuffer.content_version
+        self.history = StepSeries("oled_emission_mw", self._price_mw,
+                                  start_time)
         self._evaluations = 0
         framebuffer.add_update_listener(self._on_frame_update)
 
     @property
     def evaluations(self) -> int:
-        """Frame updates priced so far."""
+        """Frame updates recorded so far (not all of them re-priced)."""
         return self._evaluations
 
     def _on_frame_update(self, time: float, framebuffer) -> None:
         self._evaluations += 1
-        self.history.set(time,
-                         self.model.frame_power_mw(framebuffer.pixels))
+        version = framebuffer.content_version
+        if version != self._priced_version:
+            self._price_mw = self.model.frame_power_mw(framebuffer.pixels)
+            self._priced_version = version
+        self.history.set(time, self._price_mw)
 
     def mean_emission_mw(self, start: float, end: float) -> float:
         """Time-weighted mean emission power over a window."""

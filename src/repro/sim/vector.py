@@ -562,7 +562,8 @@ class VectorRunner(SessionRunner):
         generations already agree), clears pending, calls
         ``framebuffer.write_unchanged`` (generation bump, timestamp,
         meter fast branch: frame-log append, known-equal comparison,
-        redundant capture), bumps both composition counters and
+        redundant capture), carries its own write generation along
+        while in sync, bumps both composition counters and
         notifies the composition log with ``redundant=True``.  All of
         it is appends of known timestamps and counter arithmetic, so
         the whole region lands as a handful of bulk extends.
@@ -579,6 +580,8 @@ class VectorRunner(SessionRunner):
         comp._redundant_compositions += n
         self._compositions_log.extend(tick_times)
         framebuffer = self._framebuffer
+        if comp._in_sync():
+            comp._written_generation += n
         framebuffer._generation += n
         framebuffer._last_update_time = tick_times[-1]
         framebuffer._last_write_unchanged = True

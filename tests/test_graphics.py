@@ -207,3 +207,109 @@ class TestSurfaceManager:
         assert surface.is_damaged
         sm.on_vsync(1.0)
         assert not surface.is_damaged
+
+
+class TestContentVersion:
+    """``Framebuffer.content_version`` moves on every write the
+    compositor cannot prove identical, and on nothing else."""
+
+    def _make(self, fast_path=False):
+        fb = Framebuffer(16, 12)
+        sm = SurfaceManager(fb)
+        if fast_path:
+            sm.enable_coherence_fast_path()
+        surface = Surface(16, 12, name="app")
+        sm.register_surface(surface)
+        return fb, sm, surface
+
+    def test_write_advances_write_unchanged_keeps(self, fb):
+        assert fb.content_version == 0
+        fb.write(np.full(fb.shape, 3, dtype=np.uint8), 1.0)
+        assert fb.content_version == 1
+        fb.write_unchanged(2.0)
+        assert fb.content_version == 1
+        assert fb.generation == 2
+
+    def test_identical_write_keeps_version_but_is_a_real_write(self, fb):
+        seen = []
+        fb.add_update_listener(lambda t, f: seen.append(t))
+        fb.write(np.full(fb.shape, 3, dtype=np.uint8), 1.0, identical=True)
+        assert fb.content_version == 0
+        assert fb.generation == 1
+        assert not fb.last_write_unchanged
+        assert (fb.pixels == 3).all()
+        assert seen == [1.0]
+
+    def test_changing_composite_advances(self):
+        fb, sm, surface = self._make()
+        surface.fill((5, 5, 5))
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        assert fb.content_version == 1
+        surface.fill((6, 6, 6))
+        sm.post(surface)
+        sm.on_vsync(2.0)
+        assert fb.content_version == 2
+
+    def test_redundant_composite_keeps(self):
+        fb, sm, surface = self._make()
+        surface.fill((5, 5, 5))
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        sm.post(surface)
+        sm.on_vsync(2.0)
+        assert sm.redundant_compositions == 1
+        assert fb.generation == 2
+        assert fb.content_version == 1
+        assert not fb.last_write_unchanged  # the meter still compares
+
+    def test_redundant_first_composite_on_fresh_framebuffer_keeps(self):
+        fb, sm, surface = self._make()
+        sm.post(surface)          # a black surface onto a black screen
+        sm.on_vsync(1.0)
+        assert sm.redundant_compositions == 1
+        assert fb.content_version == 0
+
+    def test_fast_path_composite_keeps(self):
+        fb, sm, surface = self._make(fast_path=True)
+        surface.fill((5, 5, 5))
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        sm.post(surface, content_changed=False)
+        sm.on_vsync(2.0)
+        assert fb.last_write_unchanged
+        assert fb.content_version == 1
+        sm.post(surface)          # full composite again, still redundant
+        sm.on_vsync(3.0)
+        assert fb.content_version == 1
+
+    def test_direct_write_between_composites_voids_the_claim(self):
+        fb, sm, surface = self._make()
+        surface.fill((5, 5, 5))
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        fb.write(np.full(fb.shape, 9, dtype=np.uint8), 1.5)
+        assert fb.content_version == 2
+        sm.post(surface)          # redundant versus the last composite
+        sm.on_vsync(2.0)
+        assert sm.redundant_compositions == 1
+        assert fb.content_version == 3
+        assert (fb.pixels == 5).all()
+        # Back in sync: the next redundant composite is proven again.
+        sm.post(surface)
+        sm.on_vsync(3.0)
+        assert fb.content_version == 3
+
+    def test_direct_write_voids_the_claim_across_the_fast_path(self):
+        fb, sm, surface = self._make(fast_path=True)
+        surface.fill((5, 5, 5))
+        sm.post(surface)
+        sm.on_vsync(1.0)
+        fb.write(np.full(fb.shape, 9, dtype=np.uint8), 1.5)
+        sm.post(surface, content_changed=False)
+        sm.on_vsync(2.0)          # fast path: write_unchanged
+        assert fb.content_version == 2
+        sm.post(surface)
+        sm.on_vsync(3.0)          # full composite restores the surface
+        assert fb.content_version == 3
+        assert (fb.pixels == 5).all()

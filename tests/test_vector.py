@@ -145,6 +145,24 @@ class TestCatalogEquivalence:
         assert VectorRunner(quiet)._idle_skip_ok
         assert not VectorRunner(watched)._idle_skip_ok
 
+    @pytest.mark.parametrize("track_oled", [False, True])
+    def test_content_version_is_engine_agnostic(self, track_oled):
+        # The scalar path proves redundant frames by full comparison,
+        # the vector path by the coherence fast branch and bulk idle
+        # replay; both must leave the framebuffer on the same content
+        # version with the compositor's write claim still in sync.
+        cfg = SessionConfig(app="Tiny Flashlight", governor="fixed",
+                            duration_s=8.0, seed=5, track_oled=track_oled)
+        scalar, vector = SessionRunner(cfg), VectorRunner(cfg)
+        scalar.run()
+        vector.run()
+        for runner in (scalar, vector):
+            assert runner.builder.compositor._in_sync()
+        assert (scalar.builder.framebuffer.content_version
+                == vector.builder.framebuffer.content_version)
+        assert (scalar.builder.framebuffer.generation
+                > scalar.builder.framebuffer.content_version)
+
     def test_faulted_spec_falls_back_and_matches(self):
         cfg = SessionConfig(app="Facebook", governor="section",
                             duration_s=5.0, seed=2,
